@@ -171,17 +171,6 @@ int Cmp(const T& a, const T& b) {
   return 0;
 }
 
-// Total order over doubles: -inf < finite < +inf < NaN, with -0.0 == +0.0
-// and every NaN equal to every other NaN. Plain operator< breaks the strict
-// weak ordering sorted algorithms rely on when NaN appears in a key column
-// (NaN would compare "equal" to everything), making sorted and hashed
-// group-bys disagree.
-int CmpDouble(double a, double b) {
-  bool na = std::isnan(a), nb = std::isnan(b);
-  if (na || nb) return (na ? 1 : 0) - (nb ? 1 : 0);
-  return Cmp(a, b);  // IEEE compare; -0.0 == +0.0
-}
-
 // Exact int64 vs double comparison. Widening the int64 to double (AsDouble)
 // loses precision beyond 2^53, silently equating distinct grouping keys such
 // as 2^53 and 2^53+1.
@@ -211,7 +200,7 @@ bool Int64FitsDouble(int64_t i, double* out) {
 
 constexpr size_t kNanHash = 0x7fc00000a110c8edULL;
 
-// Hash of a double consistent with CmpDouble equality: one hash for every
+// Hash of a double consistent with CompareDoubles equality: one hash for every
 // NaN, and -0.0 canonicalized to +0.0.
 size_t HashDouble(double d) {
   if (std::isnan(d)) return kNanHash;
@@ -220,6 +209,17 @@ size_t HashDouble(double d) {
 }
 
 }  // namespace
+
+// Plain operator< breaks the strict weak ordering sorted algorithms rely on
+// when NaN appears in a key column (NaN would compare "equal" to
+// everything), making sorted and hashed group-bys disagree.
+int CompareDoubles(double a, double b) {
+  bool na = std::isnan(a), nb = std::isnan(b);
+  if (na || nb) return (na ? 1 : 0) - (nb ? 1 : 0);
+  if (a < b) return -1;  // IEEE compare; -0.0 == +0.0
+  if (b < a) return 1;
+  return 0;
+}
 
 int Value::Compare(const Value& other) const {
   int ra = KindRank(kind_), rb = KindRank(other.kind_);
@@ -239,7 +239,7 @@ int Value::Compare(const Value& other) const {
       if (other.kind_ == Kind::kInt64) {
         return -CmpInt64Double(other.int64_value(), float64_value());
       }
-      return CmpDouble(float64_value(), other.float64_value());
+      return CompareDoubles(float64_value(), other.float64_value());
     case Kind::kString:
       return Cmp(string_value(), other.string_value());
     case Kind::kDate:

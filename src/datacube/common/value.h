@@ -143,6 +143,11 @@ class Value {
   std::variant<std::monostate, bool, int64_t, double, std::string, Date> data_;
 };
 
+/// The total order Value::Compare gives FLOAT64 values: -inf < finite <
+/// +inf < NaN, with -0.0 == +0.0 and every NaN equal to every other NaN.
+/// Returns <0, 0, >0.
+int CompareDoubles(double a, double b);
+
 /// Functor for unordered containers keyed by Value.
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }

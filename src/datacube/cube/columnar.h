@@ -305,9 +305,15 @@ void FlushStoreStats(const SetStores& stores, CubeStats* stats);
 
 /// Builds the result relation from flat stores — the only place packed
 /// keys are decoded back to Values. Mirrors AssembleResult (ALL/NULL
-/// marking, decorations, GROUPING columns, empty-grouping-set fix-up).
+/// marking, decorations, GROUPING columns, empty-grouping-set fix-up)
+/// without modifying `stores`. Rows come in assembly order (grouping sets
+/// in order, each store's cells in ForEach order) or, with `sort_by_key`,
+/// in grouping-key order with ties in assembly order — the order a stable
+/// SortTable on the grouping columns gives, reached by comparing dictionary
+/// ranks instead of Values.
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
-                                     SetStores& stores, CubeStats* stats);
+                                     const SetStores& stores,
+                                     bool sort_by_key, CubeStats* stats);
 
 }  // namespace cube_internal
 }  // namespace datacube

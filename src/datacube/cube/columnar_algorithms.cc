@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "datacube/cube/columnar.h"
 #include "datacube/obs/trace.h"
@@ -575,26 +577,117 @@ Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
 // ColumnarParallel — the morsel-driven scan / radix-partitioned merge /
 // parallel lattice cascade — lives in parallel_columnar.cc.
 
-// Assembles the result relation from per-set flat stores — the only place
+namespace {
+
+// The cells of every store, in assembly order (grouping sets in order, each
+// store's cells in ForEach order), split into the columns the assembler
+// reads: each key column's emitted code, the cell block, and the set.
+struct AssemblyCells {
+  /// codes[k][i] = code of cell i in key column k — the ALL code where the
+  /// column is aggregated away, or the NULL code under the minimalist
+  /// Section 3.4 design.
+  std::vector<std::vector<uint32_t>> codes;
+  std::vector<const char*> blocks;
+  std::vector<GroupingSet> sets;
+  size_t size() const { return blocks.size(); }
+};
+
+// Permutation of the cells into grouping-key order, with ties in assembly
+// order — the order a stable sort of the assembled rows on the grouping
+// columns gives. Each column's codes map to ranks of the Values the result
+// holds (KeyCodec::RankTable), so ordering compares integers only: an LSD
+// radix sort over the key columns, last column first, each pass a stable
+// counting sort on one column's ranks.
+std::vector<size_t> KeyOrder(const ColumnarContext& cc,
+                             const AssemblyCells& cells) {
+  const CubeContext& ctx = *cc.ctx;
+  std::vector<size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<size_t> next(cells.size());
+  for (size_t k = ctx.num_keys; k-- > 0;) {
+    const std::vector<uint32_t> rank =
+        cc.codec.RankTable(k, ctx.key_types[k]);
+    const std::vector<uint32_t>& codes = cells.codes[k];
+    std::vector<size_t> start(
+        *std::max_element(rank.begin(), rank.end()) + 2, 0);
+    for (uint32_t code : codes) ++start[rank[code] + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (size_t ordinal : order) next[start[rank[codes[ordinal]]]++] = ordinal;
+    order.swap(next);
+  }
+  return order;
+}
+
+// Table::AppendRow's wording for a value its column rejects.
+Status ColumnError(const Status& st, const std::string& column) {
+  return Status(st.code(), "column '" + column + "': " + st.message());
+}
+
+}  // namespace
+
+// Builds the result relation from per-set flat stores — the only place
 // packed keys are decoded back to Values. Mirrors AssembleResult in
-// cube_operator.cc row for row.
+// cube_operator.cc cell for cell; when several cells fail, the error
+// returned is that of the first failing cell in result order.
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
-                                     SetStores& stores, CubeStats* stats) {
+                                     const SetStores& stores,
+                                     bool sort_by_key, CubeStats* stats) {
   const CubeContext& ctx = *cc.ctx;
   const CubeSpec& spec = *ctx.spec;
+  const size_t num_keys = ctx.num_keys;
+  const uint32_t away_code = spec.all_mode == AllMode::kAllToken
+                                 ? KeyCodec::kAllCode
+                                 : KeyCodec::kNullCode;
 
   // SQL semantics: the empty grouping set produces exactly one row even for
-  // empty input (the aggregate over the empty set).
-  std::vector<uint64_t> zero_key(cc.words, 0);
+  // empty input (the aggregate over the empty set). It comes from a
+  // one-cell scratch store, so the caller's stores stay untouched.
+  std::optional<CellStore> scratch;
+  size_t total_cells = 0;
   for (size_t s = 0; s < ctx.sets.size(); ++s) {
     if (ctx.sets[s] == 0 && stores[s].size() == 0) {
-      stores[s].FindOrInsert(zero_key.data());
+      std::vector<uint64_t> zero_key(cc.words, 0);
+      scratch.emplace(cc.MakeStore());
+      scratch->FindOrInsert(zero_key.data());
     }
+    total_cells += stores[s].size();
+  }
+  if (scratch.has_value()) ++total_cells;
+
+  AssemblyCells cells;
+  cells.codes.assign(num_keys, std::vector<uint32_t>(total_cells));
+  cells.blocks.reserve(total_cells);
+  cells.sets.reserve(total_cells);
+  for (size_t s = 0; s < ctx.sets.size(); ++s) {
+    const GroupingSet set = ctx.sets[s];
+    const CellStore& store =
+        set == 0 && stores[s].size() == 0 ? *scratch : stores[s];
+    store.ForEach([&](const uint64_t* key, const char* block) {
+      const size_t i = cells.blocks.size();
+      for (size_t k = 0; k < num_keys; ++k) {
+        cells.codes[k][i] =
+            IsGrouped(set, k) ? static_cast<uint32_t>(cc.codec.CodeAt(key, k))
+                              : away_code;
+      }
+      cells.blocks.push_back(block);
+      cells.sets.push_back(set);
+    });
+  }
+  const size_t n = cells.size();
+  if (stats != nullptr) stats->output_cells = n;
+
+  // Result order: order[i] is the assembly ordinal of result row i.
+  std::vector<size_t> order;
+  if (sort_by_key) {
+    order = KeyOrder(cc, cells);
+  } else {
+    order.resize(n);
+    std::iota(order.begin(), order.end(), 0);
   }
 
   // Result schema (identical to the legacy assembler's).
   std::vector<Field> fields;
-  for (size_t k = 0; k < ctx.num_keys; ++k) {
+  for (size_t k = 0; k < num_keys; ++k) {
     fields.push_back(Field{ctx.key_names[k], ctx.key_types[k],
                            /*nullable=*/true, /*allow_all=*/true});
   }
@@ -610,7 +703,7 @@ Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
                            /*nullable=*/true, /*allow_all=*/false});
   }
   if (spec.add_grouping_columns) {
-    for (size_t k = 0; k < ctx.num_keys; ++k) {
+    for (size_t k = 0; k < num_keys; ++k) {
       fields.push_back(Field{"grouping_" + ctx.key_names[k], DataType::kBool,
                              /*nullable=*/false, /*allow_all=*/false});
     }
@@ -619,76 +712,103 @@ Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
     fields.push_back(Field{"grouping_id", DataType::kInt64,
                            /*nullable=*/false, /*allow_all=*/false});
   }
-  Table out{Schema{std::move(fields)}};
-
-  size_t total_cells = 0;
-  for (const CellStore& m : stores) total_cells += m.size();
-  out.Reserve(total_cells);
-  if (stats != nullptr) stats->output_cells = total_cells;
-
-  for (size_t s = 0; s < ctx.sets.size(); ++s) {
-    GroupingSet set = ctx.sets[s];
-    const CellStore& store = stores[s];
-    Status row_status = Status::OK();
-    store.ForEach([&](const uint64_t* key, char* block) {
-      if (!row_status.ok()) return;
-      const CellHeader* cell = ColumnarContext::Header(block);
-      std::vector<Value> row;
-      row.reserve(out.num_columns());
-      // Grouping columns: ALL (or NULL under the minimalist Section 3.4
-      // design) in aggregated-away positions.
-      for (size_t k = 0; k < ctx.num_keys; ++k) {
-        if (IsGrouped(set, k)) {
-          row.push_back(cc.codec.ValueAt(key, k));
-        } else {
-          row.push_back(spec.all_mode == AllMode::kAllToken ? Value::All()
-                                                            : Value::Null());
-        }
-      }
-      // Decorations: value when the grouping set functionally determines it
-      // (covers the determinant), else NULL — Table 7's continent rule.
-      for (const Decoration& d : spec.decorations) {
-        bool determined = (set & d.determinant) == d.determinant;
-        if (determined && cell->has_repr) {
-          Result<Value> v = d.expr->Evaluate(*ctx.input, cell->repr_row);
-          if (!v.ok()) {
-            row_status = v.status();
-            return;
-          }
-          row.push_back(std::move(v).value());
-        } else {
-          row.push_back(Value::Null());
-        }
-      }
-      // Aggregates.
-      for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-        Result<Value> v = ctx.aggs[a]->FinalChecked(cc.StateOf(block, a));
-        if (!v.ok()) {
-          row_status = v.status();
-          return;
-        }
-        row.push_back(std::move(v).value());
-        if (stats != nullptr) ++stats->final_calls;
-      }
-      // GROUPING() discriminators (Section 3.3/3.4): TRUE where the column
-      // is an ALL value.
-      if (spec.add_grouping_columns) {
-        for (size_t k = 0; k < ctx.num_keys; ++k) {
-          row.push_back(Value::Bool(!IsGrouped(set, k)));
-        }
-      }
-      if (spec.add_grouping_id) {
-        int64_t id = 0;
-        for (size_t k = 0; k < ctx.num_keys; ++k) {
-          if (!IsGrouped(set, k)) id |= (1LL << k);
-        }
-        row.push_back(Value::Int64(id));
-      }
-      row_status = out.AppendRow(row);
-    });
-    DATACUBE_RETURN_IF_ERROR(row_status);
+  Schema schema{std::move(fields)};
+  std::vector<Column> columns;
+  columns.reserve(schema.num_fields());
+  for (const Field& f : schema.fields()) {
+    columns.emplace_back(f.type);
+    columns.back().Reserve(n);
   }
-  return out;
+  const size_t num_decorations = spec.decorations.size();
+  const size_t decoration_col = num_keys;
+  const size_t grouping_col =
+      decoration_col + num_decorations + ctx.aggs.size();
+  // Appends `v` to result column `c`; a type mismatch fails as AppendRow
+  // would.
+  auto append = [&](size_t c, const Value& v) -> Status {
+    Status st = columns[c].Append(v);
+    if (st.ok()) return st;
+    return ColumnError(st, schema.field(c).name);
+  };
+
+  // Grouping columns: a gather from a typed dictionary column indexed by
+  // code, whose rows 0 and 1 hold ALL and NULL. A code whose Value the
+  // column rejects (a scalar function's key of the wrong type) is gathered
+  // as NULL and its error kept for the per-cell pass to report.
+  std::vector<std::vector<Status>> rejected(num_keys);  // [k][code]
+  std::vector<size_t> take(n);
+  for (size_t k = 0; k < num_keys; ++k) {
+    Column dict(ctx.key_types[k]);
+    const uint64_t max_code = cc.codec.max_code(k);
+    for (uint64_t code = 0; code <= max_code; ++code) {
+      Status st = dict.Append(cc.codec.ValueOfCode(k, code));
+      if (st.ok()) continue;
+      rejected[k].resize(max_code + 1);  // sized on the first rejection
+      rejected[k][code] = ColumnError(st, schema.field(k).name);
+      dict.AppendNulls(1);
+    }
+    const std::vector<uint32_t>& codes = cells.codes[k];
+    for (size_t i = 0; i < n; ++i) take[i] = codes[order[i]];
+    columns[k].AppendTake(dict, take.data(), n);
+  }
+
+  // Decorations, aggregates and GROUPING() columns, one cell at a time in
+  // result order so each cell block is fetched once. A failing cell fails
+  // as AppendRow failed its row in the legacy assembler: a decoration or
+  // aggregate that does not evaluate first, then the first value of the
+  // wrong type in column order, grouping columns first.
+  std::vector<Value> values(num_decorations + ctx.aggs.size());
+  constexpr size_t kPrefetchAhead = 8;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchAhead < n) {
+      __builtin_prefetch(cells.blocks[order[i + kPrefetchAhead]]);
+    }
+    const char* block = cells.blocks[order[i]];
+    const GroupingSet set = cells.sets[order[i]];
+    // Decorations: value when the grouping set functionally determines it
+    // (covers the determinant), else NULL — Table 7's continent rule.
+    for (size_t d = 0; d < num_decorations; ++d) {
+      const Decoration& dec = spec.decorations[d];
+      const CellHeader* cell = ColumnarContext::Header(block);
+      if ((set & dec.determinant) != dec.determinant || !cell->has_repr) {
+        values[d] = Value::Null();
+        continue;
+      }
+      DATACUBE_ASSIGN_OR_RETURN(
+          values[d], dec.expr->Evaluate(*ctx.input, cell->repr_row));
+    }
+    // Aggregates: one Final per cell.
+    for (size_t a = 0; a < ctx.aggs.size(); ++a) {
+      DATACUBE_ASSIGN_OR_RETURN(
+          values[num_decorations + a],
+          ctx.aggs[a]->FinalChecked(cc.StateOf(block, a)));
+      if (stats != nullptr) ++stats->final_calls;
+    }
+    for (size_t k = 0; k < num_keys; ++k) {
+      if (!rejected[k].empty()) {
+        DATACUBE_RETURN_IF_ERROR(rejected[k][cells.codes[k][order[i]]]);
+      }
+    }
+    for (size_t v = 0; v < values.size(); ++v) {
+      DATACUBE_RETURN_IF_ERROR(append(decoration_col + v, values[v]));
+    }
+    // GROUPING() discriminators (Section 3.3/3.4): TRUE where the column
+    // is an ALL value; grouping_id packs them as a bitmask.
+    size_t c = grouping_col;
+    if (spec.add_grouping_columns) {
+      for (size_t k = 0; k < num_keys; ++k) {
+        DATACUBE_RETURN_IF_ERROR(append(c++, Value::Bool(!IsGrouped(set, k))));
+      }
+    }
+    if (spec.add_grouping_id) {
+      int64_t id = 0;
+      for (size_t k = 0; k < num_keys; ++k) {
+        if (!IsGrouped(set, k)) id |= (1LL << k);
+      }
+      DATACUBE_RETURN_IF_ERROR(append(c, Value::Int64(id)));
+    }
+  }
+  return Table::FromColumns(std::move(schema), std::move(columns));
 }
 
 }  // namespace cube_internal

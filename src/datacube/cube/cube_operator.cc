@@ -431,12 +431,11 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
     span.Attr("requested", CubeAlgorithmName(options.algorithm));
   }
 
-  // Per-grouping-set actuals are one size read each; estimates cost a
-  // cardinality scan, so they are computed only for a traced execution
-  // (EXPLAIN ANALYZE) where the comparison is the point.
-  auto fill_estimates = [&]() {
-    if (!obs::TracingActive()) return;
-    std::vector<size_t> cards = cube_internal::KeyCardinalities(ctx);
+  // Per-grouping-set actuals are one size read each; estimates are filled
+  // only for a traced execution (EXPLAIN ANALYZE), where the comparison is
+  // the point — the legacy core pays a cardinality scan for them, the
+  // columnar core reads its codec's dictionary sizes.
+  auto fill_estimates = [&](const std::vector<size_t>& cards) {
     for (size_t s = 0; s < ctx.sets.size(); ++s) {
       double est = 1.0;
       for (size_t k = 0; k < ctx.num_keys; ++k) {
@@ -512,11 +511,11 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
         stats.per_set[s].set = ctx.sets[s];
         stats.per_set[s].actual_cells = stores.value()[s].size();
       }
-      fill_estimates();
+      if (obs::TracingActive()) fill_estimates(cc.codec.Cardinalities());
       cube_internal::FlushStoreStats(stores.value(), &stats);
       obs::ScopedSpan assemble_span("assemble_result");
-      return cube_internal::AssembleColumnarResult(cc, stores.value(),
-                                                   &stats);
+      return cube_internal::AssembleColumnarResult(
+          cc, stores.value(), options.sort_result, &stats);
     }
 
     Result<SetMaps> maps = [&]() -> Result<SetMaps> {
@@ -547,12 +546,16 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
       stats.per_set[s].set = ctx.sets[s];
       stats.per_set[s].actual_cells = maps.value()[s].size();
     }
-    fill_estimates();
+    if (obs::TracingActive()) {
+      fill_estimates(cube_internal::KeyCardinalities(ctx));
+    }
     obs::ScopedSpan assemble_span("assemble_result");
     return cube_internal::AssembleResult(ctx, maps.value(), &stats);
   }();
   if (!table.ok()) return table.status();
-  if (options.sort_result) {
+  // The columnar assembler already emitted key order; only the legacy
+  // core sorts its assembled table.
+  if (legacy_core && options.sort_result) {
     obs::ScopedSpan sort_span("sort_result");
     std::vector<SortKey> keys;
     for (size_t k = 0; k < ctx.num_keys; ++k) {

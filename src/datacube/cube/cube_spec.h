@@ -193,8 +193,9 @@ struct CubeOptions {
 
 /// Per-grouping-set execution instrumentation (EXPLAIN ANALYZE's actual vs
 /// estimated cell counts). `est_cells` stays negative unless estimates were
-/// computed (they require a cardinality scan, paid only when a trace is
-/// active or EXPLAIN asked for a plan).
+/// computed, which happens only when a trace is active or EXPLAIN asked for
+/// a plan (the columnar core reads them from its key dictionaries; the
+/// legacy core pays a cardinality scan).
 struct GroupingSetExecStats {
   GroupingSet set = 0;
   uint64_t actual_cells = 0;

@@ -364,11 +364,36 @@ std::vector<uint64_t> KeyCodec::MaskForSet(GroupingSet set) const {
   return masks;
 }
 
-Value KeyCodec::ValueAt(const uint64_t* key, size_t k) const {
-  uint64_t code = CodeAt(key, k);
-  if (code == kAllCode) return Value::All();
-  if (code == kNullCode) return Value::Null();
+const Value& KeyCodec::ValueOfCode(size_t k, uint64_t code) const {
+  static const Value kAll = Value::All();
+  static const Value kNull = Value::Null();
+  if (code == kAllCode) return kAll;
+  if (code == kNullCode) return kNull;
   return cols_[k].values[code - 2];
+}
+
+std::vector<uint32_t> KeyCodec::RankTable(size_t k, DataType emitted) const {
+  const bool widen = emitted == DataType::kFloat64;
+  auto compare = [&](uint32_t a, uint32_t b) {
+    const Value& va = ValueOfCode(k, a);
+    const Value& vb = ValueOfCode(k, b);
+    if (widen && va.is_numeric() && vb.is_numeric()) {
+      return Value::Float64(va.AsDouble())
+          .Compare(Value::Float64(vb.AsDouble()));
+    }
+    return va.Compare(vb);
+  };
+  std::vector<uint32_t> order(cols_[k].max_code() + 1);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return compare(a, b) < 0; });
+  std::vector<uint32_t> rank(order.size());
+  uint32_t r = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i > 0 && compare(order[i - 1], order[i]) != 0) ++r;
+    rank[order[i]] = r;
+  }
+  return rank;
 }
 
 std::vector<Value> KeyCodec::DecodeKey(const uint64_t* key) const {

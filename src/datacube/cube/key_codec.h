@@ -161,7 +161,26 @@ class KeyCodec {
   bool has_all(size_t k) const { return cols_[k].has_all; }
 
   /// Decodes one column of a packed key back to a Value.
-  Value ValueAt(const uint64_t* key, size_t k) const;
+  Value ValueAt(const uint64_t* key, size_t k) const {
+    return ValueOfCode(k, CodeAt(key, k));
+  }
+
+  /// The Value code `code` of column `k` stands for (ALL, NULL, or a
+  /// dictionary entry).
+  const Value& ValueOfCode(size_t k, uint64_t code) const;
+
+  /// Largest code column `k` currently uses (ALL and NULL included).
+  uint64_t max_code(size_t k) const { return cols_[k].max_code(); }
+
+  /// Code -> rank table for column `k`, indexed by every code
+  /// 0..max_code(k): ranks follow Value::Compare on the decoded Values
+  /// (NULL < ALL < concrete values), and Compare-equal entries share a
+  /// rank. Ranks come from sorting the dictionary, never from code order,
+  /// which CodeOfOrAdd growth leaves unsorted. `emitted` is the type of
+  /// the column the decoded Values are written to: for a FLOAT64 column
+  /// numeric entries rank as the double the column stores, so int64
+  /// entries that widen to one double tie.
+  std::vector<uint32_t> RankTable(size_t k, DataType emitted) const;
 
   /// Decodes a packed key into the legacy full-width Value form.
   std::vector<Value> DecodeKey(const uint64_t* key) const;

@@ -1,5 +1,6 @@
 #include "datacube/table/column.h"
 
+#include <type_traits>
 #include <unordered_set>
 
 namespace datacube {
@@ -79,6 +80,24 @@ void Column::AppendNulls(size_t count) {
     AppendDefaultSlot();
   }
   null_count_ += count;
+}
+
+void Column::AppendTake(const Column& src, const size_t* rows, size_t n) {
+  states_.reserve(states_.size() + n);
+  for (size_t i = 0; i < n; ++i) {
+    uint8_t state = src.states_[rows[i]];
+    states_.push_back(state);
+    null_count_ += state == kStateNull ? 1 : 0;
+    all_count_ += state == kStateAll ? 1 : 0;
+  }
+  std::visit(
+      [&](auto& buf) {
+        using Buf = std::decay_t<decltype(buf)>;
+        const Buf& from = std::get<Buf>(src.buffer_);
+        buf.reserve(buf.size() + n);
+        for (size_t i = 0; i < n; ++i) buf.push_back(from[rows[i]]);
+      },
+      buffer_);
 }
 
 Value Column::Get(size_t i) const {

@@ -34,6 +34,11 @@ class Column {
   /// Reads row `i` back as a Value.
   Value Get(size_t i) const;
 
+  /// Appends rows rows[0..n) of `src` in that order: a typed gather that
+  /// copies state codes and buffer slots without a Value per row. `src`
+  /// must have this column's type; each index must be < src.size().
+  void AppendTake(const Column& src, const size_t* rows, size_t n);
+
   /// Overwrites row `i`; same typing rule as Append.
   Status Set(size_t i, const Value& value);
 

@@ -16,7 +16,8 @@ struct SortKey {
 };
 
 /// Stable-sorts row indices of `table` by `keys` using the Value total order
-/// (NULL < ALL < values). Returns the permutation; apply with
+/// (NULL < ALL < values), read from the columns' typed buffers without
+/// building a Value per comparison. Returns the permutation; apply with
 /// Table::TakeRows.
 Result<std::vector<size_t>> SortIndices(const Table& table,
                                         const std::vector<SortKey>& keys);

@@ -12,6 +12,26 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Result<Table> Table::FromColumns(Schema schema, std::vector<Column> columns) {
+  if (columns.size() != schema.num_fields()) {
+    return Status::InvalidArgument("FromColumns: column count mismatch");
+  }
+  size_t rows = columns.empty() ? 0 : columns[0].size();
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i].type() != schema.field(i).type ||
+        columns[i].size() != rows) {
+      return Status::InvalidArgument("FromColumns: column '" +
+                                     schema.field(i).name +
+                                     "' has the wrong type or length");
+    }
+  }
+  Table out;
+  out.schema_ = std::move(schema);
+  out.columns_ = std::move(columns);
+  out.num_rows_ = rows;
+  return out;
+}
+
 Result<const Column*> Table::ColumnByName(const std::string& name) const {
   std::optional<size_t> idx = schema_.FieldIndex(name);
   if (!idx.has_value()) return Status::NotFound("no column named " + name);
@@ -46,15 +66,17 @@ std::vector<Value> Table::GetRow(size_t row) const {
 }
 
 Result<Table> Table::TakeRows(const std::vector<size_t>& indices) const {
-  Table out(schema_);
-  out.Reserve(indices.size());
   for (size_t idx : indices) {
     if (idx >= num_rows_) {
       return Status::OutOfRange("TakeRows index " + std::to_string(idx) +
                                 " >= " + std::to_string(num_rows_));
     }
-    DATACUBE_RETURN_IF_ERROR(out.AppendRow(GetRow(idx)));
   }
+  Table out(schema_);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    out.columns_[c].AppendTake(columns_[c], indices.data(), indices.size());
+  }
+  out.num_rows_ = indices.size();
   return out;
 }
 

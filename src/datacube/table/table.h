@@ -19,6 +19,10 @@ class Table {
   Table() = default;
   explicit Table(Schema schema);
 
+  /// A table over finished columns: one per schema field, each of its
+  /// field's type, all of one length.
+  static Result<Table> FromColumns(Schema schema, std::vector<Column> columns);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }

@@ -9,6 +9,7 @@
 
 #include "datacube/cube/materialized_cube.h"
 #include "datacube/table/csv.h"
+#include "datacube/table/sort.h"
 
 namespace datacube {
 namespace testing {
@@ -47,6 +48,20 @@ Outcome RunConfig(const Table& input, const CubeSpec& spec,
     out.status = r.status();
   }
   return out;
+}
+
+/// Order witness: every config runs with sort_result, so its table must
+/// already be in grouping-key order — exactly equal to a stable SortTable of
+/// itself, tie order included. SortTable shares no code with the
+/// assembler's rank-based ordering.
+bool InKeyOrder(const Outcome& outcome, const CubeSpec& spec) {
+  if (!outcome.ok()) return true;
+  std::vector<SortKey> keys;
+  for (size_t k = 0; k < spec.AllGroupExprs().size(); ++k) {
+    keys.push_back(SortKey{k, /*ascending=*/true});
+  }
+  Result<Table> sorted = SortTable(outcome.table, keys);
+  return sorted.ok() && sorted->EqualsExact(outcome.table);
 }
 
 bool SameError(const Status& a, const Status& b) {
@@ -335,9 +350,22 @@ DiffReport RunDifferential(const Table& input, const CubeSpec& spec,
                            const DiffOptions& options) {
   DiffReport report;
   if (configs.empty()) return report;
+  auto unordered = [&](const OracleConfig& config) {
+    DiffReport bad;
+    bad.agreed = false;
+    bad.baseline_label = config.label;
+    bad.other_label = "SortTable witness";
+    bad.mismatch = "sort_result output is not in grouping-key order";
+    std::vector<size_t> all(input.num_rows());
+    for (size_t r = 0; r < all.size(); ++r) all[r] = r;
+    AttachCounterexample(input, all, &bad);
+    return bad;
+  };
   Outcome base = RunConfig(input, spec, configs[0]);
+  if (!InKeyOrder(base, spec)) return unordered(configs[0]);
   for (size_t i = 1; i < configs.size(); ++i) {
     Outcome other = RunConfig(input, spec, configs[i]);
+    if (!InKeyOrder(other, spec)) return unordered(configs[i]);
     DiffReport attempt;
     attempt.baseline_label = configs[0].label;
     attempt.other_label = configs[i].label;

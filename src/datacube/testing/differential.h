@@ -98,6 +98,10 @@ struct DiffOptions {
 /// configurations also agree when both fail with the same StatusCode —
 /// numeric-edge errors (e.g. SUM overflow) must surface from every
 /// algorithm, though which failing cell is reported first may differ.
+/// Every configuration runs with sort_result, and each successful table
+/// must also equal a stable SortTable of itself on the grouping columns
+/// (the order witness); a table out of key order is reported against the
+/// "SortTable witness" label.
 DiffReport RunDifferential(const Table& input, const CubeSpec& spec,
                            const std::vector<OracleConfig>& configs,
                            const DiffOptions& options = {});

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "datacube/cube/cube_operator.h"
+#include "datacube/cube/key_codec.h"
+#include "datacube/expr/scalar_function.h"
+#include "datacube/table/sort.h"
 #include "datacube/workload/sales.h"
 #include "datacube/workload/weather.h"
 
@@ -479,6 +487,339 @@ TEST(CubeOperatorTest, DistinctAggregateInCube) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(Lookup(r->table, {Value::String("Chevy")}, 1), Value::Int64(2));
   EXPECT_EQ(Lookup(r->table, {Value::All()}, 1), Value::Int64(2));
+}
+
+// ------------------------------------------------------- result order
+
+// The columnar assembler orders the result by dictionary rank. A stable
+// SortTable of the unsorted result is the independent witness: sorted
+// output must equal it exactly, which pins tie order as well as
+// sortedness.
+void ExpectKeyOrderMatchesSortTable(const Table& input, const CubeSpec& spec,
+                                    CubeOptions options) {
+  options.sort_result = false;
+  Result<CubeResult> unsorted = ExecuteCube(input, spec, options);
+  ASSERT_TRUE(unsorted.ok()) << unsorted.status().ToString();
+  options.sort_result = true;
+  Result<CubeResult> sorted = ExecuteCube(input, spec, options);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  std::vector<SortKey> keys;
+  for (size_t k = 0; k < spec.AllGroupExprs().size(); ++k) {
+    keys.push_back(SortKey{k, /*ascending=*/true});
+  }
+  Result<Table> witness = SortTable(unsorted->table, keys);
+  ASSERT_TRUE(witness.ok());
+  EXPECT_TRUE(sorted->table.EqualsExact(*witness));
+  EXPECT_EQ(sorted->stats.output_cells, unsorted->stats.output_cells);
+}
+
+const CubeAlgorithm kSerialAlgorithms[] = {
+    CubeAlgorithm::kAuto,
+    CubeAlgorithm::kNaive2N,
+    CubeAlgorithm::kUnionGroupBy,
+    CubeAlgorithm::kFromCore,
+    CubeAlgorithm::kArrayCube,
+    CubeAlgorithm::kSortRollup,
+    CubeAlgorithm::kSortFromCore,
+};
+
+// Keys with NULLs and a literal ALL in the data, so aggregated-away ALL
+// planes tie with data rows.
+Table SpecialKeysTable() {
+  TableBuilder b({Field{"a", DataType::kString, true, true},
+                  Field{"b", DataType::kInt64, true, true},
+                  Field{"x", DataType::kInt64}});
+  const char* names[] = {"m", "c", "x"};
+  for (int r = 0; r < 60; ++r) {
+    Value a = Value::String(names[r % 3]);
+    if (r % 7 == 0) a = Value::All();
+    if (r % 5 == 0) a = Value::Null();
+    Value b_val = Value::Int64(r % 3 - 1);
+    if (r % 11 == 0) b_val = Value::All();
+    if (r % 4 == 0) b_val = Value::Null();
+    b.Row({a, b_val, Value::Int64(r)});
+  }
+  return std::move(b).Build().value();
+}
+
+TEST(ResultOrderTest, LiteralAllKeysTieWithAllPlanes) {
+  Table t = SpecialKeysTable();
+  CubeSpec spec;
+  spec.cube = {GroupCol("a"), GroupCol("b")};
+  spec.aggregates = {Agg("sum", "x", "sx"), CountStar("n")};
+  for (CubeAlgorithm algorithm : kSerialAlgorithms) {
+    SCOPED_TRACE(CubeAlgorithmName(algorithm));
+    CubeOptions options;
+    options.algorithm = algorithm;
+    ExpectKeyOrderMatchesSortTable(t, spec, options);
+  }
+}
+
+TEST(ResultOrderTest, NullWithGroupingTiesRealNulls) {
+  Table t = SpecialKeysTable();
+  CubeSpec spec;
+  spec.cube = {GroupCol("a"), GroupCol("b")};
+  spec.aggregates = {Agg("sum", "x", "sx")};
+  spec.all_mode = AllMode::kNullWithGrouping;
+  for (bool grouping_columns : {false, true}) {
+    spec.add_grouping_columns = grouping_columns;
+    spec.add_grouping_id = grouping_columns;
+    for (CubeAlgorithm algorithm : kSerialAlgorithms) {
+      SCOPED_TRACE(CubeAlgorithmName(algorithm));
+      CubeOptions options;
+      options.algorithm = algorithm;
+      ExpectKeyOrderMatchesSortTable(t, spec, options);
+    }
+  }
+}
+
+// A scalar function declared FLOAT64 that returns INT64 for some rows: the
+// FLOAT64 result column widens those, so 2^53 + 1 (distinct from 2^53 in
+// the Value order) lands on the same double as 2^53 and must tie with it.
+void RegisterMixedNumericFunction() {
+  ScalarFunction fn;
+  fn.name = "test_mixed_numeric";
+  fn.arity = 1;
+  fn.result_type = [](const std::vector<DataType>&) -> Result<DataType> {
+    return DataType::kFloat64;
+  };
+  fn.eval = [](const std::vector<Value>& args) -> Result<Value> {
+    const int64_t kTwo53 = int64_t{1} << 53;
+    switch (args[0].int64_value() % 5) {
+      case 0:
+        return Value::Int64(kTwo53 + 1);
+      case 1:
+        return Value::Int64(kTwo53);
+      case 2:
+        return Value::Float64(9007199254740992.0);  // 2^53
+      case 3:
+        return Value::Int64(-3);
+      default:
+        return Value::Float64(-2.5);
+    }
+  };
+  // Registration is process-wide; a repeated test run finds it present.
+  (void)ScalarFunctionRegistry::Global().Register(fn);
+}
+
+TEST(ResultOrderTest, NanSignedZeroAndMixedNumericKeys) {
+  RegisterMixedNumericFunction();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {nan, -0.0, 0.0, inf, -inf, 1.5, -nan};
+  TableBuilder b({Field{"f", DataType::kFloat64, true, true},
+                  Field{"i", DataType::kInt64},
+                  Field{"x", DataType::kInt64}});
+  for (int r = 0; r < 70; ++r) {
+    Value f = r % 9 == 0 ? Value::Null() : Value::Float64(specials[r % 7]);
+    b.Row({f, Value::Int64(r), Value::Int64(r * 3)});
+  }
+  Table t = std::move(b).Build().value();
+  CubeSpec spec;
+  spec.cube = {
+      GroupCol("f"),
+      GroupExpr{Expr::Call("test_mixed_numeric", {Expr::Column("i")}), "m"},
+      GroupExpr{Expr::Binary(BinaryOp::kMul, Expr::Column("f"),
+                             Expr::Lit(Value::Float64(-1.0))),
+                "neg_f"}};
+  spec.aggregates = {Agg("sum", "x", "sx"), CountStar("n")};
+  for (CubeAlgorithm algorithm : kSerialAlgorithms) {
+    SCOPED_TRACE(CubeAlgorithmName(algorithm));
+    CubeOptions options;
+    options.algorithm = algorithm;
+    ExpectKeyOrderMatchesSortTable(t, spec, options);
+  }
+}
+
+TEST(ResultOrderTest, KeyValuesOfTheWrongTypeFailOnlyWhenEmitted) {
+  // A scalar function declared INT64 that returns a FLOAT64 for odd input:
+  // the result column rejects that value, as Table::AppendRow would.
+  ScalarFunction fn;
+  fn.name = "test_lying_int";
+  fn.arity = 1;
+  fn.result_type = [](const std::vector<DataType>&) -> Result<DataType> {
+    return DataType::kInt64;
+  };
+  fn.eval = [](const std::vector<Value>& args) -> Result<Value> {
+    int64_t i = args[0].int64_value();
+    return i % 2 == 1 ? Value::Float64(0.5) : Value::Int64(i);
+  };
+  (void)ScalarFunctionRegistry::Global().Register(fn);
+  TableBuilder b({Field{"i", DataType::kInt64}, Field{"x", DataType::kInt64}});
+  for (int r = 0; r < 10; ++r) b.Row({Value::Int64(r), Value::Int64(r % 3)});
+  Table t = std::move(b).Build().value();
+  GroupExpr lying{Expr::Call("test_lying_int", {Expr::Column("i")}), "li"};
+  for (bool sorted : {false, true}) {
+    CubeOptions options;
+    options.sort_result = sorted;
+    CubeSpec spec;
+    spec.cube = {GroupCol("x"), lying};
+    spec.aggregates = {CountStar("n")};
+    Result<CubeResult> r = ExecuteCube(t, spec, options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
+    EXPECT_NE(r.status().message().find("column 'li'"), std::string::npos);
+    // A grouping set list that never groups `li` emits only ALL there.
+    spec.explicit_sets = std::vector<GroupingSet>{0b01};
+    r = ExecuteCube(t, spec, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->table.num_rows(), 3u);
+  }
+}
+
+TEST(ResultOrderTest, FirstFailingCellInResultOrderReportsTheError) {
+  // Cell (x = 0, li = 0) overflows SUM; cell (x = 1, li = 0.5) holds a key
+  // value its INT64 column rejects. Sorted on x, the overflow comes first,
+  // so its error is the one returned, whichever kind of error a later cell
+  // would have raised.
+  ScalarFunction fn;
+  fn.name = "test_lying_int";
+  fn.arity = 1;
+  fn.result_type = [](const std::vector<DataType>&) -> Result<DataType> {
+    return DataType::kInt64;
+  };
+  fn.eval = [](const std::vector<Value>& args) -> Result<Value> {
+    int64_t i = args[0].int64_value();
+    return i % 2 == 1 ? Value::Float64(0.5) : Value::Int64(i);
+  };
+  (void)ScalarFunctionRegistry::Global().Register(fn);
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  TableBuilder b({Field{"x", DataType::kInt64}, Field{"j", DataType::kInt64},
+                  Field{"y", DataType::kInt64}});
+  for (int r = 0; r < 4; ++r) {
+    const int64_t x = r % 2;
+    b.Row({Value::Int64(x), Value::Int64(x), Value::Int64(x == 0 ? kMax : 1)});
+  }
+  Table t = std::move(b).Build().value();
+  CubeSpec spec;
+  spec.cube = {GroupCol("x"),
+               GroupExpr{Expr::Call("test_lying_int", {Expr::Column("j")}),
+                         "li"}};
+  spec.explicit_sets = std::vector<GroupingSet>{0b11};
+  spec.aggregates = {Agg("sum", "y", "sy")};
+  Result<CubeResult> r = ExecuteCube(t, spec, CubeOptions{});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+}
+
+TEST(ResultOrderTest, RanksWiderThanOneWord) {
+  // Ten columns of 128 values each, plus NULL and ALL: 130 ranks, 8 bits
+  // per column, 80 bits in all — more than one packed 64-bit rank key
+  // holds.
+  std::vector<Field> fields;
+  for (int k = 0; k < 10; ++k) {
+    fields.push_back(Field{"k" + std::to_string(k), DataType::kInt64});
+  }
+  fields.push_back(Field{"x", DataType::kInt64});
+  TableBuilder b(fields);
+  for (int r = 0; r < 400; ++r) {
+    std::vector<Value> row;
+    for (int k = 0; k < 10; ++k) {
+      if ((r + k) % 37 == 0) {
+        row.push_back(Value::Null());
+      } else {
+        row.push_back(Value::Int64((r * (2 * k + 3) + k) % 128));
+      }
+    }
+    row.push_back(Value::Int64(r));
+    b.Row(row);
+  }
+  Table t = std::move(b).Build().value();
+  CubeSpec spec;
+  for (int k = 0; k < 10; ++k) {
+    spec.rollup.push_back(GroupCol("k" + std::to_string(k)));
+  }
+  spec.aggregates = {Agg("sum", "x", "sx")};
+  for (AllMode mode : {AllMode::kAllToken, AllMode::kNullWithGrouping}) {
+    spec.all_mode = mode;
+    spec.add_grouping_columns = mode == AllMode::kNullWithGrouping;
+    ExpectKeyOrderMatchesSortTable(t, spec, CubeOptions{});
+  }
+}
+
+TEST(ResultOrderTest, ParallelMorselsEmitKeyOrder) {
+  CubeInputOptions gen;
+  gen.num_rows = 10000;
+  gen.num_dims = 4;
+  gen.cardinalities = {300, 40, 12, 5};
+  gen.skew = 0.5;
+  gen.seed = 7;
+  Table t = GenerateCubeInput(gen).value();
+  CubeSpec spec;
+  spec.cube = {GroupCol("d0"), GroupCol("d1"), GroupCol("d2"),
+               GroupCol("d3")};
+  spec.aggregates = {CountStar("n"), Agg("sum", "x", "sx")};
+  CubeOptions options;
+  options.num_threads = 4;
+  options.morsel_rows = 2048;
+  ExpectKeyOrderMatchesSortTable(t, spec, options);
+  Result<CubeResult> serial = ExecuteCube(t, spec);
+  Result<CubeResult> parallel = ExecuteCube(t, spec, options);
+  ASSERT_TRUE(serial.ok() && parallel.ok());
+  EXPECT_GT(parallel->stats.threads_used, 1);
+  EXPECT_TRUE(parallel->table.EqualsExact(serial->table));
+}
+
+TEST(ResultOrderTest, BudgetedLatticeRewriteEmitsKeyOrder) {
+  Table sales =
+      GenerateSales({.num_rows = 3000, .num_models = 6, .num_years = 5,
+                     .num_colors = 4, .num_dealers = 7, .skew = 0.5,
+                     .seed = 3})
+          .value();
+  CubeSpec spec;
+  spec.cube = {GroupCol("Model"), GroupCol("Year"), GroupCol("Color"),
+               GroupCol("Dealer")};
+  spec.aggregates = {Agg("sum", "Units", "s"), CountStar("n")};
+  for (size_t budget : {size_t{512}, size_t{8192}}) {
+    CubeOptions options;
+    options.materialize_budget_bytes = budget;
+    ExpectKeyOrderMatchesSortTable(sales, spec, options);
+    Result<CubeResult> r = ExecuteCube(sales, spec, options);
+    ASSERT_TRUE(r.ok());
+    EXPECT_GT(r->stats.lattice_ancestor_folds, 0u);
+  }
+}
+
+TEST(ResultOrderTest, RankTableOfGrownCodecFollowsValueOrder) {
+  using cube_internal::KeyCodec;
+  KeyCodec codec = KeyCodec::Build(
+      {{Value::String("m"), Value::String("c"), Value::String("x")},
+       {Value::Int64(5), Value::Float64(1.5), Value::Int64(7)}});
+  // Growth appends codes after the sorted ones, out of value order.
+  const uint64_t a = codec.CodeOfOrAdd(0, Value::String("a"));
+  const uint64_t z = codec.CodeOfOrAdd(0, Value::String("z"));
+  const uint64_t d = codec.CodeOfOrAdd(0, Value::String("d"));
+  const uint64_t big =
+      codec.CodeOfOrAdd(1, Value::Int64((int64_t{1} << 53) + 1));
+  const uint64_t two53 =
+      codec.CodeOfOrAdd(1, Value::Float64(9007199254740992.0));
+  const uint64_t neg = codec.CodeOfOrAdd(1, Value::Int64(-1));
+  codec.CodeOfOrAdd(0, Value::Null());
+  ASSERT_GT(a, *codec.CodeOf(0, Value::String("x")));
+
+  std::vector<uint32_t> r0 = codec.RankTable(0, DataType::kString);
+  ASSERT_EQ(r0.size(), codec.max_code(0) + 1);
+  auto rank0 = [&](const char* s) {
+    return r0[*codec.CodeOf(0, Value::String(s))];
+  };
+  EXPECT_EQ(r0[KeyCodec::kNullCode], 0u);
+  EXPECT_EQ(r0[KeyCodec::kAllCode], 1u);
+  EXPECT_EQ(r0[a], 2u);
+  EXPECT_LT(r0[a], rank0("c"));
+  EXPECT_LT(rank0("c"), r0[d]);
+  EXPECT_LT(r0[d], rank0("m"));
+  EXPECT_LT(rank0("m"), rank0("x"));
+  EXPECT_LT(rank0("x"), r0[z]);
+
+  // As a FLOAT64 result column stores them, 2^53 + 1 and 2^53 are one
+  // double and tie; in the exact Value order they do not.
+  std::vector<uint32_t> widened = codec.RankTable(1, DataType::kFloat64);
+  EXPECT_EQ(widened[big], widened[two53]);
+  EXPECT_LT(widened[neg], widened[*codec.CodeOf(1, Value::Float64(1.5))]);
+  EXPECT_LT(widened[*codec.CodeOf(1, Value::Int64(7))], widened[two53]);
+  std::vector<uint32_t> exact = codec.RankTable(1, DataType::kInt64);
+  EXPECT_LT(exact[two53], exact[big]);
 }
 
 }  // namespace

@@ -64,9 +64,14 @@ struct SweepCase {
   uint64_t seed;
 };
 
+// The empty profile is swept by DifferentialEmptySweepTest below instead:
+// gtest prints a SweepCase as raw bytes, the first of which are a heap
+// address, and with a label that short the address lands inside the
+// 100-column test name ctest reports, so the name would change per build.
 std::vector<SweepCase> SweepCases() {
   std::vector<SweepCase> cases;
   for (const RandomTableProfile& p : AdversarialProfiles()) {
+    if (p.rows == 0) continue;
     for (uint64_t seed = 1; seed <= 5; ++seed) cases.push_back({p, seed});
   }
   return cases;
@@ -92,6 +97,30 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       return info.param.profile.label + "_seed" +
              std::to_string(info.param.seed);
+    });
+
+// The same check on the empty profile, parameterized by seed alone so the
+// test names stay stable.
+class DifferentialEmptySweepTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(DifferentialEmptySweepTest, AllAlgorithmsAgree) {
+  const uint64_t seed = GetParam();
+  RandomTableProfile profile;
+  for (const RandomTableProfile& p : AdversarialProfiles()) {
+    if (p.rows == 0) profile = p;
+  }
+  ASSERT_EQ(profile.label, "empty");
+  Table input = MakeRandomTable(seed, profile);
+  CubeSpec spec = MakeRandomSpec(seed, profile, seed % 2 == 1);
+  DiffReport report = RunDifferential(input, spec);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, DifferentialEmptySweepTest, ::testing::Range<uint64_t>(1, 6),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return "empty_seed" + std::to_string(info.param);
     });
 
 // ------------------------------------------------- maintenance replays

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <random>
 
 #include "datacube/table/csv.h"
 #include "datacube/table/print.h"
@@ -279,6 +281,85 @@ TEST(SortTest, DescendingAndStability) {
   EXPECT_EQ(sorted->GetValue(1, 1), Value::String("first"));
   EXPECT_EQ(sorted->GetValue(2, 1), Value::String("second"));
   EXPECT_FALSE(SortTable(t, {SortKey{7, true}}).ok());
+}
+
+TEST(SortTest, TypedComparatorMatchesValueCompare) {
+  // Adversarial columns: NULL and ALL states, NaN of both signs, signed
+  // zeros, infinities, duplicates, and strings that differ only in the
+  // high bit. SortIndices reads the typed buffers; the reference sorts by
+  // Value::Compare on materialized Values.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double doubles[] = {nan, -nan, -0.0, 0.0, inf, -inf, 1.0, -1.0};
+  const char* strings[] = {"", "a", "A", "ab", "\xff", "\x7f", "a\xff"};
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(), -1, 0, 1,
+                          std::numeric_limits<int64_t>::max()};
+  TableBuilder b({Field{"f", DataType::kFloat64, true, true},
+                  Field{"s", DataType::kString, true, true},
+                  Field{"i", DataType::kInt64, true, true},
+                  Field{"b", DataType::kBool, true, true},
+                  Field{"d", DataType::kDate, true, true}});
+  std::mt19937_64 rng(5);
+  auto special = [&](Value v) {
+    switch (rng() % 6) {
+      case 0:
+        return Value::Null();
+      case 1:
+        return Value::All();
+      default:
+        return v;
+    }
+  };
+  for (int r = 0; r < 300; ++r) {
+    b.Row({special(Value::Float64(doubles[rng() % 8])),
+           special(Value::String(strings[rng() % 7])),
+           special(Value::Int64(ints[rng() % 5])),
+           special(Value::Bool(rng() % 2 == 0)),
+           special(Value::FromDate(Date{static_cast<int32_t>(rng() % 4)}))});
+  }
+  Table t = std::move(b).Build().value();
+  const std::vector<std::vector<SortKey>> orders = {
+      {{0, true}},
+      {{1, false}},
+      {{2, true}, {0, false}},
+      {{3, true}, {4, false}, {1, true}},
+      {{4, true}, {3, true}, {2, false}, {1, false}, {0, true}}};
+  for (const std::vector<SortKey>& keys : orders) {
+    std::vector<size_t> expected(t.num_rows());
+    for (size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](size_t a, size_t b) {
+                       for (const SortKey& k : keys) {
+                         int cmp = t.GetValue(a, k.column)
+                                       .Compare(t.GetValue(b, k.column));
+                         if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
+                       }
+                       return false;
+                     });
+    Result<std::vector<size_t>> got = SortIndices(t, keys);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, expected);
+  }
+}
+
+TEST(TableTest, TakeRowsGathersEveryColumnType) {
+  TableBuilder b({Field{"s", DataType::kString, true, true},
+                  Field{"f", DataType::kFloat64}});
+  b.Row({Value::String("x"), Value::Float64(1.5)});
+  b.Row({Value::All(), Value::Null()});
+  b.Row({Value::Null(), Value::Float64(-0.0)});
+  Table t = std::move(b).Build().value();
+  Result<Table> taken = t.TakeRows({2, 0, 1, 0});
+  ASSERT_TRUE(taken.ok());
+  ASSERT_EQ(taken->num_rows(), 4u);
+  EXPECT_TRUE(taken->GetValue(0, 0).is_null());
+  EXPECT_EQ(taken->GetValue(1, 0), Value::String("x"));
+  EXPECT_TRUE(taken->GetValue(2, 0).is_all());
+  EXPECT_TRUE(taken->GetValue(2, 1).is_null());
+  EXPECT_EQ(taken->GetValue(3, 1), Value::Float64(1.5));
+  EXPECT_EQ(taken->column(0).null_count(), 1u);
+  EXPECT_EQ(taken->column(0).all_count(), 1u);
+  EXPECT_FALSE(t.TakeRows({3}).ok());
 }
 
 // ------------------------------------------------------------------ Print
